@@ -4,11 +4,14 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"partialtor/internal/relay"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
+	"partialtor/internal/vote"
 )
 
 // bg is the context the generator tests run under; cancellation behaviour
@@ -283,6 +286,40 @@ func TestInputsCaching(t *testing.T) {
 	if d3[0] == d1[0] {
 		t.Fatal("cache returned stale inputs")
 	}
+}
+
+// TestSharedDocumentsConcurrentReads reads the cached encodings and digests
+// of the shared input votes, and of one consensus encoded where it was built,
+// from several goroutines at once, as parallel sweeps do. Under -race it
+// guards the invariant that the digest memo is written only while the
+// document is built, never by a reader.
+func TestSharedDocumentsConcurrentReads(t *testing.T) {
+	_, docs := Inputs(Scenario{Relays: 60, Seed: 5, EntryPadding: -1})
+	c, err := vote.Aggregate(docs, len(docs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDoc := make([]sig.Digest, len(docs))
+	for i, d := range docs {
+		wantDoc[i] = sig.Hash(d.Encode())
+	}
+	wantCons := c.Digest()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, d := range docs {
+				if d.Digest() != wantDoc[i] || d.EncodedSize() != int64(len(d.Encode())) {
+					t.Errorf("vote %d: digest or size changed under concurrent reads", i)
+				}
+			}
+			if c.Digest() != wantCons || sig.Hash(c.Encode()) != wantCons || c.EncodedSize() == 0 {
+				t.Error("consensus digest changed under concurrent reads")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRunProducesTransportStats(t *testing.T) {

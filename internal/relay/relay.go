@@ -55,14 +55,22 @@ func (f Flags) Has(q Flags) bool { return f&q == q }
 
 // String renders the set flags in Tor's "s" line order (alphabetical here,
 // matching the canonical names' order of declaration).
-func (f Flags) String() string {
-	var parts []string
+func (f Flags) String() string { return string(f.Append(nil)) }
+
+// Append appends the String form of f to b.
+//
+//detlint:hotpath
+func (f Flags) Append(b []byte) []byte {
+	start := len(b)
 	for i := 0; i < flagCount; i++ {
 		if f&(1<<i) != 0 {
-			parts = append(parts, flagNames[i])
+			if len(b) > start {
+				b = append(b, ' ')
+			}
+			b = append(b, flagNames[i]...)
 		}
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
 // ParseFlags inverts String.

@@ -3,7 +3,9 @@ package vote
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"partialtor/internal/relay"
 	"partialtor/internal/sig"
@@ -32,8 +34,14 @@ type Consensus struct {
 	Voters           []int // authority indices whose votes were aggregated
 	Relays           []ConsensusRelay
 
+	// encoded caches the rendered document and digest its SHA-256; Encode
+	// sets both together, so clearing encoded also invalidates digest.
 	encoded []byte
+	digest  sig.Digest
 }
+
+// allFlags is relay.AllFlags, built once for the per-relay flag vote.
+var allFlags = relay.AllFlags()
 
 // Aggregate combines status votes into a consensus document following the
 // paper's Figure 2. votes must be non-empty and from distinct authorities;
@@ -65,55 +73,87 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 		threshold = 1
 	}
 
-	type slot struct {
-		entries []relay.Descriptor // one per vote listing the relay
-		voters  []int              // authority indices, aligned with entries
-	}
-	byID := make(map[relay.Identity]*slot)
-	var order []relay.Identity
+	// Pass 1: give each identity a slot, count its listings and remember
+	// every listing's slot. Both passes walk the votes from the largest
+	// authority ID down, so each slot starts with the listing that names
+	// the relay.
+	total := 0
 	for _, v := range ordered {
+		total += len(v.Relays)
+	}
+	slotOf := make(map[relay.Identity]int, len(ordered[0].Relays))
+	var ids []relay.Identity
+	var counts []int
+	listingSlot := make([]int, 0, total)
+	for _, v := range slices.Backward(ordered) {
 		for i := range v.Relays {
-			r := &v.Relays[i]
-			s, ok := byID[r.Identity]
+			id := v.Relays[i].Identity
+			s, ok := slotOf[id]
 			if !ok {
-				s = &slot{}
-				byID[r.Identity] = s
-				order = append(order, r.Identity)
+				s = len(ids)
+				slotOf[id] = s
+				ids = append(ids, id)
+				counts = append(counts, 0)
 			}
-			s.entries = append(s.entries, *r)
-			s.voters = append(s.voters, v.AuthorityIndex)
+			counts[s]++
+			listingSlot = append(listingSlot, s)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i][:], order[j][:]) < 0 })
+	// Pass 2: lay the slots out back to back in one array of pointers into
+	// the votes.
+	start := make([]int, len(ids)+1)
+	for s, c := range counts {
+		start[s+1] = start[s] + c
+	}
+	fill := append([]int(nil), start[:len(ids)]...)
+	entries := make([]*relay.Descriptor, total)
+	k := 0
+	for _, v := range slices.Backward(ordered) {
+		for i := range v.Relays {
+			s := listingSlot[k]
+			entries[fill[s]] = &v.Relays[i]
+			fill[s]++
+			k++
+		}
+	}
+
+	order := make([]int, len(ids))
+	for s := range order {
+		order[s] = s
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(ids[a][:], ids[b][:]) })
 
 	c := &Consensus{
 		ValidAfter:       ordered[0].ValidAfter,
 		NumVotes:         n,
 		TotalAuthorities: totalAuthorities,
+		Voters:           make([]int, n),
+		Relays:           make([]ConsensusRelay, 0, len(ids)),
 	}
-	for _, v := range ordered {
-		c.Voters = append(c.Voters, v.AuthorityIndex)
+	for i, v := range ordered {
+		c.Voters[i] = v.AuthorityIndex
 	}
-	for _, id := range order {
-		s := byID[id]
-		if len(s.entries) < threshold {
+	scratch := aggScratch{vals: make([]string, 0, n), bw: make([]uint64, 0, n)}
+	for _, s := range order {
+		if counts[s] < threshold {
 			continue
 		}
-		c.Relays = append(c.Relays, aggregateRelay(id, s.entries, s.voters))
+		c.Relays = append(c.Relays, scratch.aggregateRelay(ids[s], entries[start[s]:start[s+1]]))
 	}
 	return c, nil
 }
 
-// aggregateRelay applies the per-relay rules of Figure 2.
-func aggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int) ConsensusRelay {
+// aggScratch is space reused across the relays of one Aggregate call.
+type aggScratch struct {
+	vals []string
+	bw   []uint64
+}
+
+// aggregateRelay applies the per-relay rules of Figure 2 to the entries
+// listing one relay, ordered by descending authority ID.
+func (sc *aggScratch) aggregateRelay(id relay.Identity, entries []*relay.Descriptor) ConsensusRelay {
 	// Name (and endpoint) from the vote with the largest authority ID.
-	maxAt := 0
-	for i, v := range voters {
-		if v > voters[maxAt] {
-			maxAt = i
-		}
-	}
-	namer := entries[maxAt]
+	namer := entries[0]
 
 	out := ConsensusRelay{
 		Nickname:  namer.Nickname,
@@ -125,7 +165,7 @@ func aggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int)
 	}
 
 	// Flags: popular vote among listing votes; a tie leaves the flag unset.
-	for _, f := range relay.AllFlags() {
+	for _, f := range allFlags {
 		set := 0
 		for _, e := range entries {
 			if e.Flags.Has(f) {
@@ -140,16 +180,13 @@ func aggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int)
 	// Version, protocols, exit policy: popular vote; ties broken by the
 	// largest version / largest protocol string / lexicographically larger
 	// policy.
-	out.Version = popular(entries, func(e relay.Descriptor) string { return e.Version },
-		func(a, b string) bool { return relay.CompareVersions(a, b) > 0 })
-	out.Protocols = popular(entries, func(e relay.Descriptor) string { return e.Protocols },
-		func(a, b string) bool { return a > b })
-	out.ExitPolicy = popular(entries, func(e relay.Descriptor) string { return e.ExitPolicy },
-		func(a, b string) bool { return a > b })
+	out.Version = popular(sc.field(entries, versionOf), newerVersion)
+	out.Protocols = popular(sc.field(entries, protocolsOf), greater)
+	out.ExitPolicy = popular(sc.field(entries, exitPolicyOf), greater)
 
 	// Bandwidth: median of the votes that measured the relay (low median,
 	// as Tor computes it); fall back to the median of advertised values.
-	var meas []uint64
+	meas := sc.bw[:0]
 	for _, e := range entries {
 		if e.HasMeasured {
 			meas = append(meas, e.Measured)
@@ -160,20 +197,45 @@ func aggregateRelay(id relay.Identity, entries []relay.Descriptor, voters []int)
 			meas = append(meas, e.Bandwidth)
 		}
 	}
-	out.Bandwidth = lowMedian(meas)
+	slices.Sort(meas)
+	out.Bandwidth = meas[(len(meas)-1)/2]
 	return out
 }
 
-// popular returns the most frequent value; among equally frequent values the
-// one for which better(a, b) holds over all others wins.
-func popular(entries []relay.Descriptor, get func(relay.Descriptor) string, better func(a, b string) bool) string {
-	counts := make(map[string]int)
+// field collects one string field of every entry into reused space.
+func (sc *aggScratch) field(entries []*relay.Descriptor, get func(*relay.Descriptor) string) []string {
+	vals := sc.vals[:0]
 	for _, e := range entries {
-		counts[get(e)]++
+		vals = append(vals, get(e))
 	}
+	sc.vals = vals
+	return vals
+}
+
+func versionOf(e *relay.Descriptor) string    { return e.Version }
+func protocolsOf(e *relay.Descriptor) string  { return e.Protocols }
+func exitPolicyOf(e *relay.Descriptor) string { return e.ExitPolicy }
+func newerVersion(a, b string) bool           { return relay.CompareVersions(a, b) > 0 }
+func greater(a, b string) bool                { return a > b }
+
+// popular returns the most frequent value; among equally frequent values the
+// one for which better(a, b) holds over all others wins. Each value is
+// counted at its first occurrence; a later occurrence counts fewer matches
+// than that first one and so never displaces it.
+//
+//detlint:hotpath
+func popular(vals []string, better func(a, b string) bool) string {
 	best, bestCount := "", -1
-	//detlint:maporder ok(argmax with a strict total-order tie-break: better() decides every equal count, so all orders converge)
-	for v, c := range counts {
+	for i, v := range vals {
+		if len(vals)-i < bestCount {
+			break // no value from here on can reach the leader's count
+		}
+		c := 1
+		for _, later := range vals[i+1:] {
+			if later == v {
+				c++
+			}
+		}
 		switch {
 		case c > bestCount:
 			best, bestCount = v, c
@@ -184,52 +246,69 @@ func popular(entries []relay.Descriptor, get func(relay.Descriptor) string, bett
 	return best
 }
 
-// lowMedian returns the lower median, matching Tor's bandwidth aggregation.
-func lowMedian(vals []uint64) uint64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := make([]uint64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[(len(sorted)-1)/2]
-}
-
-// Encode renders the consensus document.
+// Encode renders the consensus document. The result and its digest are
+// cached.
 func (c *Consensus) Encode() []byte {
 	if c.encoded != nil {
 		return c.encoded
 	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "network-status-version 3\n")
-	fmt.Fprintf(&b, "vote-status consensus\n")
-	fmt.Fprintf(&b, "valid-after %d\n", c.ValidAfter)
-	fmt.Fprintf(&b, "num-votes %d of %d\n", c.NumVotes, c.TotalAuthorities)
-	fmt.Fprintf(&b, "voters")
+	b := make([]byte, 0, 256+8*len(c.Voters)+len(c.Relays)*consensusEntrySize)
+	b = append(b, "network-status-version 3\nvote-status consensus\nvalid-after "...)
+	b = strconv.AppendUint(b, c.ValidAfter, 10)
+	b = append(b, "\nnum-votes "...)
+	b = strconv.AppendInt(b, int64(c.NumVotes), 10)
+	b = append(b, " of "...)
+	b = strconv.AppendInt(b, int64(c.TotalAuthorities), 10)
+	b = append(b, "\nvoters"...)
 	for _, v := range c.Voters {
-		fmt.Fprintf(&b, " %d", v)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
 	for i := range c.Relays {
-		r := &c.Relays[i]
-		fmt.Fprintf(&b, "r %s %s %s %d %d\n", r.Nickname, r.Identity, r.Address, r.ORPort, r.DirPort)
-		fmt.Fprintf(&b, "s %s\n", r.Flags)
-		fmt.Fprintf(&b, "v Tor %s\n", r.Version)
-		fmt.Fprintf(&b, "pr %s\n", r.Protocols)
-		fmt.Fprintf(&b, "w Bandwidth=%d\n", r.Bandwidth)
-		fmt.Fprintf(&b, "p %s\n", r.ExitPolicy)
+		b = appendConsensusEntry(b, &c.Relays[i])
 	}
-	fmt.Fprintf(&b, "directory-footer\n")
-	c.encoded = b.Bytes()
+	b = append(b, "directory-footer\n"...)
+	c.encoded, c.digest = b, sig.Hash(b)
 	return c.encoded
+}
+
+// appendConsensusEntry appends one consensus relay entry.
+//
+//detlint:hotpath
+func appendConsensusEntry(b []byte, r *ConsensusRelay) []byte {
+	b = append(b, "r "...)
+	b = append(b, r.Nickname...)
+	b = append(b, ' ')
+	b = appendHex(b, r.Identity[:])
+	b = append(b, ' ')
+	b = append(b, r.Address...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.ORPort), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.DirPort), 10)
+	b = append(b, "\ns "...)
+	b = r.Flags.Append(b)
+	b = append(b, "\nv Tor "...)
+	b = append(b, r.Version...)
+	b = append(b, "\npr "...)
+	b = append(b, r.Protocols...)
+	b = append(b, "\nw Bandwidth="...)
+	b = strconv.AppendUint(b, r.Bandwidth, 10)
+	b = append(b, "\np "...)
+	b = append(b, r.ExitPolicy...)
+	return append(b, '\n')
 }
 
 // EncodedSize returns the consensus wire size in bytes.
 func (c *Consensus) EncodedSize() int64 { return int64(len(c.Encode())) }
 
-// Digest returns the SHA-256 digest of the encoded consensus; this is what
-// authorities sign.
-func (c *Consensus) Digest() sig.Digest { return sig.Hash(c.Encode()) }
+// Digest returns the SHA-256 digest of the encoded consensus, computed once
+// by Encode; this is what authorities sign.
+func (c *Consensus) Digest() sig.Digest {
+	c.Encode()
+	return c.digest
+}
 
 // FindRelay returns the consensus entry for an identity, if included.
 func (c *Consensus) FindRelay(id relay.Identity) (ConsensusRelay, bool) {

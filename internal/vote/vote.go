@@ -12,7 +12,6 @@
 package vote
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -41,7 +40,10 @@ type Document struct {
 	EntryPadding   int    // pad each relay entry to this many bytes; 0 = natural size
 	Relays         []relay.Descriptor
 
-	encoded []byte // cache
+	// encoded caches the rendered vote and digest its SHA-256; Encode sets
+	// both together, so clearing encoded also invalidates digest.
+	encoded []byte
+	digest  sig.Digest
 }
 
 // NewDocument builds a vote for an authority over its relay view.
@@ -56,58 +58,121 @@ func NewDocument(authorityIndex int, name string, fp sig.Fingerprint, epoch uint
 	}
 }
 
-// Encode renders the vote in its text format. The result is cached: votes
-// are immutable once built.
+// Unpadded entries of the synthetic population average 261 bytes in a vote
+// and 208 in a consensus; buffers are pre-sized a little above that, so
+// they rarely grow and carry little slack.
+const (
+	voteEntrySize      = 280
+	consensusEntrySize = 224
+)
+
+// Encode renders the vote in its text format. The result and its digest
+// are cached: votes are immutable once built.
 func (d *Document) Encode() []byte {
 	if d.encoded != nil {
 		return d.encoded
 	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "network-status-version 3\n")
-	fmt.Fprintf(&b, "vote-status vote\n")
-	fmt.Fprintf(&b, "valid-after %d\n", d.ValidAfter)
-	fmt.Fprintf(&b, "entry-padding %d\n", d.EntryPadding)
-	fmt.Fprintf(&b, "dir-source %s %s %d\n", d.AuthorityName, d.Fingerprint, d.AuthorityIndex)
+	b := make([]byte, 0, 256+len(d.Relays)*max(d.EntryPadding, voteEntrySize))
+	b = append(b, "network-status-version 3\nvote-status vote\nvalid-after "...)
+	b = strconv.AppendUint(b, d.ValidAfter, 10)
+	b = append(b, "\nentry-padding "...)
+	b = strconv.AppendInt(b, int64(d.EntryPadding), 10)
+	b = append(b, "\ndir-source "...)
+	b = append(b, d.AuthorityName...)
+	b = append(b, ' ')
+	b = appendHex(b, d.Fingerprint[:])
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(d.AuthorityIndex), 10)
+	b = append(b, '\n')
 	for i := range d.Relays {
-		encodeEntry(&b, &d.Relays[i], d.EntryPadding)
+		b = appendEntry(b, &d.Relays[i], d.EntryPadding)
 	}
-	fmt.Fprintf(&b, "directory-footer\n")
-	d.encoded = b.Bytes()
+	b = append(b, "directory-footer\n"...)
+	d.encoded, d.digest = b, sig.Hash(b)
 	return d.encoded
 }
 
-func encodeEntry(b *bytes.Buffer, r *relay.Descriptor, pad int) {
-	start := b.Len()
-	fmt.Fprintf(b, "r %s %s %s %s %d %d\n",
-		r.Nickname, r.Identity, r.Digest, r.Address, r.ORPort, r.DirPort)
-	fmt.Fprintf(b, "s %s\n", r.Flags)
-	fmt.Fprintf(b, "v Tor %s\n", r.Version)
-	fmt.Fprintf(b, "pr %s\n", r.Protocols)
+// appendEntry appends one relay entry, padded to pad bytes when pad > 0.
+//
+//detlint:hotpath
+func appendEntry(b []byte, r *relay.Descriptor, pad int) []byte {
+	start := len(b)
+	b = append(b, "r "...)
+	b = append(b, r.Nickname...)
+	b = append(b, ' ')
+	b = appendHex(b, r.Identity[:])
+	b = append(b, ' ')
+	b = appendHex(b, r.Digest[:])
+	b = append(b, ' ')
+	b = append(b, r.Address...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.ORPort), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(r.DirPort), 10)
+	b = append(b, "\ns "...)
+	b = r.Flags.Append(b)
+	b = append(b, "\nv Tor "...)
+	b = append(b, r.Version...)
+	b = append(b, "\npr "...)
+	b = append(b, r.Protocols...)
+	b = append(b, "\nw Bandwidth="...)
+	b = strconv.AppendUint(b, r.Bandwidth, 10)
 	if r.HasMeasured {
-		fmt.Fprintf(b, "w Bandwidth=%d Measured=%d\n", r.Bandwidth, r.Measured)
-	} else {
-		fmt.Fprintf(b, "w Bandwidth=%d\n", r.Bandwidth)
+		b = append(b, " Measured="...)
+		b = strconv.AppendUint(b, r.Measured, 10)
 	}
-	fmt.Fprintf(b, "p %s\n", r.ExitPolicy)
+	b = append(b, "\np "...)
+	b = append(b, r.ExitPolicy...)
+	b = append(b, '\n')
 	if pad > 0 {
-		used := b.Len() - start
+		used := len(b) - start
 		// "pad <filler>\n" consumes the remaining budget exactly when
 		// possible (needs at least len("pad x\n") spare bytes).
 		if need := pad - used - 6; need >= 0 {
-			b.WriteString("pad ")
-			for i := 0; i < need+1; i++ {
-				b.WriteByte('x')
-			}
-			b.WriteByte('\n')
+			b = append(b, "pad "...)
+			b = appendFill(b, 'x', need+1)
+			b = append(b, '\n')
 		}
 	}
+	return b
+}
+
+// appendHex appends src as upper-case hex, the form relay identities and
+// authority fingerprints take in documents.
+//
+//detlint:hotpath
+func appendHex(b, src []byte) []byte {
+	const hexUpper = "0123456789ABCDEF"
+	for _, c := range src {
+		b = append(b, hexUpper[c>>4], hexUpper[c&0xf])
+	}
+	return b
+}
+
+// appendFill appends n copies of c, doubling the filled run each step.
+//
+//detlint:hotpath
+func appendFill(b []byte, c byte, n int) []byte {
+	if n <= 0 {
+		return b
+	}
+	start := len(b)
+	b = append(b, c)
+	for done := 1; done < n; done = len(b) - start {
+		b = append(b, b[start:start+min(done, n-done)]...)
+	}
+	return b
 }
 
 // EncodedSize returns the vote's wire size in bytes.
 func (d *Document) EncodedSize() int64 { return int64(len(d.Encode())) }
 
-// Digest returns the SHA-256 digest of the encoded vote.
-func (d *Document) Digest() sig.Digest { return sig.Hash(d.Encode()) }
+// Digest returns the SHA-256 digest of the encoded vote, computed once by
+// Encode.
+func (d *Document) Digest() sig.Digest {
+	d.Encode()
+	return d.digest
+}
 
 // Parse inverts Encode.
 func Parse(data []byte) (*Document, error) {
