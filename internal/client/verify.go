@@ -48,10 +48,14 @@ func (v Verdict) String() string {
 //
 // A Verifier is anchored at one chain position (the expected epoch and the
 // predecessor digest) and checks every fetched document's link against it.
-// Signature checks are memoized per digest, so verifying a million-client
-// fleet's fetches costs one Ed25519 pass per distinct document, not per
-// download. Verifier is not safe for concurrent use; each fleet holds its
-// own.
+// Signature-set checks are memoized per document digest, so verifying a
+// million-client fleet's fetches costs one Ed25519 pass per distinct
+// document, not per download, and a repeat fetch is one map lookup: it
+// neither formats the link input nor walks the signatures. This memo is not
+// the authority protocols' sig.Keyring, which remembers single signatures;
+// a fleet asks about the same few documents far more often than it has
+// signatures to check. Verifier is not safe for concurrent use; each fleet
+// holds its own.
 type Verifier struct {
 	pubs      []ed25519.PublicKey
 	threshold int
@@ -110,7 +114,8 @@ func (v *Verifier) Check(l chain.Link) Verdict {
 	return VerdictFork
 }
 
-// validSigs memoizes the threshold signature check per document digest.
+// validSigs memoizes the threshold signature check per document digest;
+// only a digest's first check reaches chain.VerifyLink.
 func (v *Verifier) validSigs(l chain.Link) bool {
 	if ok, seen := v.valid[l.Digest]; seen {
 		return ok

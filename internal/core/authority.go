@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"sort"
 	"time"
 
@@ -60,7 +59,7 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	ring  *sig.Keyring
 	doc   *vote.Document
 	hs    *hotstuff.Replica
 
@@ -100,8 +99,8 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("core: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
 	auths := make([]*Authority, cfg.n())
+	var ring *sig.Keyring
 	hsCfg := &hotstuff.Config{
 		Keys:        cfg.Keys,
 		BaseTimeout: cfg.BaseTimeout,
@@ -119,7 +118,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			if !ok {
 				return false
 			}
-			return av.Verify(pubs, len(cfg.Keys), (len(cfg.Keys)-1)/3) == nil
+			return av.Verify(ring, len(cfg.Keys), (len(cfg.Keys)-1)/3) == nil
 		},
 		OnDecide: func(ctx *simnet.Context, index int, v hotstuff.Value) {
 			auths[index].onDecide(ctx, v.(*AgreementValue))
@@ -128,12 +127,15 @@ func NewAuthorities(cfg Config) []*Authority {
 			auths[index].onEnterView(ctx, view)
 		},
 	}
+	// One keyring for the whole instance: dissemination, the replicas'
+	// certificates and the Validate predicate above all verify through it.
+	ring = hsCfg.Keyring()
 	for i := range auths {
 		auths[i] = &Authority{
 			cfg:          &cfg,
 			index:        i,
 			me:           cfg.Keys[i],
-			pubs:         pubs,
+			ring:         ring,
 			doc:          cfg.Docs[i],
 			hs:           hotstuff.NewReplica(hsCfg, i),
 			docs:         make(map[int]*vote.Document),
@@ -218,7 +220,7 @@ func (a *Authority) acceptDocument(ctx *simnet.Context, m *MsgDocument) {
 		return
 	}
 	dg := m.Doc.Digest()
-	if m.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(j, dg), m.OwnerSig) {
+	if m.OwnerSig.Signer != j || !a.ring.Verify(domainDoc, entryInput(j, dg), m.OwnerSig) {
 		ctx.Logf("warn", "Rejecting document with bad owner signature for authority %d.", j)
 		return
 	}
@@ -302,11 +304,11 @@ func (a *Authority) acceptProposal(ctx *simnet.Context, m *MsgProposal) {
 	// endorsement always, the owner signature when non-⊥.
 	var zero sig.Digest
 	for j, e := range m.Entries {
-		if e.Endorse.Signer != m.From || !sig.Verify(a.pubs, domainEndorse, entryInput(j, e.Digest), e.Endorse) {
+		if e.Endorse.Signer != m.From || !a.ring.Verify(domainEndorse, entryInput(j, e.Digest), e.Endorse) {
 			return
 		}
 		if e.Digest != zero {
-			if e.OwnerSig.Signer != j || !sig.Verify(a.pubs, domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
+			if e.OwnerSig.Signer != j || !a.ring.Verify(domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
 				return
 			}
 		}
@@ -510,7 +512,7 @@ func (a *Authority) acceptConsSig(ctx *simnet.Context, m *MsgConsSig) {
 	if from < 0 || from >= a.cfg.n() || from == a.index {
 		return
 	}
-	if !sig.Verify(a.pubs, domainConsensus, m.Digest[:], m.Sig) {
+	if !a.ring.Verify(domainConsensus, m.Digest[:], m.Sig) {
 		return
 	}
 	if _, ok := a.consSigs[from]; ok {

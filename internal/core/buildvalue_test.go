@@ -103,7 +103,7 @@ func TestBuildValueRuleA_OKWithFPlusOneEndorsements(t *testing.T) {
 		t.Fatalf("entry 5 carries %d endorsements, want exactly f+1=3", len(v.Entries[5].Endorsements))
 	}
 	// The assembled proof must verify.
-	if err := v.Verify(sig.PublicSet(h.keys), 9, 2); err != nil {
+	if err := v.Verify(sig.NewKeyring(h.keys), 9, 2); err != nil {
 		t.Fatalf("built value does not verify: %v", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestBuildValueRuleB_EquivocationWins(t *testing.T) {
 	if v.Entries[4].EquivDigests[0] == v.Entries[4].EquivDigests[1] {
 		t.Fatal("equivocation proof digests equal")
 	}
-	if err := v.Verify(sig.PublicSet(h.keys), 9, 2); err != nil {
+	if err := v.Verify(sig.NewKeyring(h.keys), 9, 2); err != nil {
 		t.Fatalf("built value does not verify: %v", err)
 	}
 }

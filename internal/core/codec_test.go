@@ -58,7 +58,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded value still verifies (proofs intact).
-	if err := got.Verify(sig.PublicSet(keys), 9, 2); err != nil {
+	if err := got.Verify(sig.NewKeyring(keys), 9, 2); err != nil {
 		t.Fatalf("decoded value fails verification: %v", err)
 	}
 }

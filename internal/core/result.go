@@ -31,6 +31,11 @@ type Result struct {
 	Latency   time.Duration // max DoneAt over correct authorities
 	OKCount   int           // non-⊥ entries of the agreed vector
 	Consensus *vote.Consensus
+
+	// Ed25519Calls counts the signatures the run actually verified: every
+	// authority shares one keyring, which checks each distinct signature
+	// once.
+	Ed25519Calls int
 }
 
 // Collect extracts the outcome after the network has run long enough.
@@ -47,6 +52,9 @@ func Collect(auths []*Authority, cfg Config, correct func(i int) bool) *Result {
 		Majority: cfg.Majority(),
 		Latency:  simnet.Never,
 		Success:  true,
+	}
+	if len(auths) > 0 {
+		res.Ed25519Calls = auths[0].ring.Ed25519Calls()
 	}
 	var maxLat time.Duration
 	haveLat := false

@@ -23,7 +23,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"fmt"
 
 	"partialtor/internal/sig"
@@ -159,7 +158,7 @@ func (v *AgreementValue) DigestVector() []sig.Digest {
 // Verify checks the proof π entry by entry: this is the external-validity
 // predicate of the agreement sub-protocol. quorumOK is n−f (the minimum
 // number of OK entries), endorseQuorum is f+1.
-func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
+func (v *AgreementValue) Verify(ring *sig.Keyring, n, f int) error {
 	if len(v.Entries) != n {
 		return fmt.Errorf("core: value has %d entries, want %d", len(v.Entries), n)
 	}
@@ -174,14 +173,14 @@ func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
 			if e.Digest.IsZero() {
 				return fmt.Errorf("core: entry %d OK with zero digest", j)
 			}
-			if e.OwnerSig.Signer != j || !sig.Verify(pubs, domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
+			if e.OwnerSig.Signer != j || !ring.Verify(domainDoc, entryInput(j, e.Digest), e.OwnerSig) {
 				return fmt.Errorf("core: entry %d owner signature invalid", j)
 			}
-			if err := verifyEndorsements(pubs, j, e.Digest, e.Endorsements, endorseQuorum); err != nil {
+			if err := verifyEndorsements(ring, j, e.Digest, e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d: %w", j, err)
 			}
 		case EntryBotTimeout:
-			if err := verifyEndorsements(pubs, j, zero, e.Endorsements, endorseQuorum); err != nil {
+			if err := verifyEndorsements(ring, j, zero, e.Endorsements, endorseQuorum); err != nil {
 				return fmt.Errorf("core: entry %d (⊥ timeout): %w", j, err)
 			}
 		case EntryBotEquivocation:
@@ -190,7 +189,7 @@ func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
 			}
 			for k := 0; k < 2; k++ {
 				if e.EquivSigs[k].Signer != j ||
-					!sig.Verify(pubs, domainDoc, entryInput(j, e.EquivDigests[k]), e.EquivSigs[k]) {
+					!ring.Verify(domainDoc, entryInput(j, e.EquivDigests[k]), e.EquivSigs[k]) {
 					return fmt.Errorf("core: entry %d equivocation proof signature %d invalid", j, k)
 				}
 			}
@@ -201,7 +200,7 @@ func (v *AgreementValue) Verify(pubs []ed25519.PublicKey, n, f int) error {
 	return nil
 }
 
-func verifyEndorsements(pubs []ed25519.PublicKey, j int, d sig.Digest, endorsements []sig.Signature, quorum int) error {
+func verifyEndorsements(ring *sig.Keyring, j int, d sig.Digest, endorsements []sig.Signature, quorum int) error {
 	if len(endorsements) < quorum {
 		return fmt.Errorf("%d endorsements, need %d", len(endorsements), quorum)
 	}
@@ -211,7 +210,7 @@ func verifyEndorsements(pubs []ed25519.PublicKey, j int, d sig.Digest, endorseme
 		if seen[s.Signer] {
 			return fmt.Errorf("duplicate endorsement from %d", s.Signer)
 		}
-		if !sig.Verify(pubs, domainEndorse, msg, s) {
+		if !ring.Verify(domainEndorse, msg, s) {
 			return fmt.Errorf("bad endorsement from %d", s.Signer)
 		}
 		seen[s.Signer] = true

@@ -29,9 +29,9 @@ func buildOKValue(t *testing.T, keys []*sig.KeyPair, f int) *AgreementValue {
 
 func TestValueVerifyAccepts(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 	v := buildOKValue(t, keys, 2)
-	if err := v.Verify(pubs, 9, 2); err != nil {
+	if err := v.Verify(ring, 9, 2); err != nil {
 		t.Fatalf("valid value rejected: %v", err)
 	}
 	if v.OKCount() != 9 {
@@ -41,13 +41,13 @@ func TestValueVerifyAccepts(t *testing.T) {
 
 func TestValueVerifyRejectsTampering(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 
 	t.Run("wrong length", func(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
 		v.Entries = v.Entries[:8]
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("short vector accepted")
 		}
 	})
@@ -64,7 +64,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 			v.Entries[j] = e
 		}
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("6 OK entries accepted with quorum 7")
 		}
 	})
@@ -73,7 +73,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
 		v.Entries[4].OwnerSig = keys[5].Sign(domainDoc, entryInput(4, v.Entries[4].Digest))
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("owner signature by wrong key accepted")
 		}
 	})
@@ -82,7 +82,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
 		v.Entries[2].Endorsements = v.Entries[2].Endorsements[:2]
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("f endorsements accepted, need f+1")
 		}
 	})
@@ -91,7 +91,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 		v := buildOKValue(t, keys, 2)
 		v.Entries[2].Endorsements[1] = v.Entries[2].Endorsements[0]
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("duplicate endorsers accepted")
 		}
 	})
@@ -101,7 +101,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 		other := sig.Hash([]byte("other"))
 		v.Entries[2].Endorsements[0] = keys[0].Sign(domainEndorse, entryInput(2, other))
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("mismatched endorsement accepted")
 		}
 	})
@@ -111,7 +111,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 		var zero sig.Digest
 		v.Entries[2].Digest = zero
 		v.encoded = nil
-		if v.Verify(pubs, 9, 2) == nil {
+		if v.Verify(ring, 9, 2) == nil {
 			t.Fatal("zero digest accepted as OK")
 		}
 	})
@@ -119,7 +119,7 @@ func TestValueVerifyRejectsTampering(t *testing.T) {
 
 func TestValueVerifyEquivocationProof(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 	v := buildOKValue(t, keys, 2)
 	dA := sig.Hash([]byte("docA"))
 	dB := sig.Hash([]byte("docB"))
@@ -132,7 +132,7 @@ func TestValueVerifyEquivocationProof(t *testing.T) {
 		},
 	}
 	v.encoded = nil
-	if err := v.Verify(pubs, 9, 2); err != nil {
+	if err := v.Verify(ring, 9, 2); err != nil {
 		t.Fatalf("valid equivocation proof rejected: %v", err)
 	}
 
@@ -141,7 +141,7 @@ func TestValueVerifyEquivocationProof(t *testing.T) {
 	bad.Entries = append([]ValueEntry{}, v.Entries...)
 	bad.Entries[6].EquivDigests[1] = dA
 	bad.encoded = nil
-	if bad.Verify(pubs, 9, 2) == nil {
+	if bad.Verify(ring, 9, 2) == nil {
 		t.Fatal("equal-digest equivocation proof accepted")
 	}
 
@@ -150,14 +150,14 @@ func TestValueVerifyEquivocationProof(t *testing.T) {
 	bad2.Entries = append([]ValueEntry{}, v.Entries...)
 	bad2.Entries[6].EquivSigs[0] = keys[5].Sign(domainDoc, entryInput(6, dA))
 	bad2.encoded = nil
-	if bad2.Verify(pubs, 9, 2) == nil {
+	if bad2.Verify(ring, 9, 2) == nil {
 		t.Fatal("equivocation proof by wrong signer accepted")
 	}
 }
 
 func TestValueVerifyBotTimeout(t *testing.T) {
 	keys := testkit.Authorities(9, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 	v := buildOKValue(t, keys, 2)
 	var zero sig.Digest
 	e := ValueEntry{Status: EntryBotTimeout}
@@ -166,7 +166,7 @@ func TestValueVerifyBotTimeout(t *testing.T) {
 	}
 	v.Entries[5] = e
 	v.encoded = nil
-	if err := v.Verify(pubs, 9, 2); err != nil {
+	if err := v.Verify(ring, 9, 2); err != nil {
 		t.Fatalf("valid timeout entry rejected: %v", err)
 	}
 	// ⊥-endorsements for the wrong index fail.
@@ -178,7 +178,7 @@ func TestValueVerifyBotTimeout(t *testing.T) {
 			keys[k].Sign(domainEndorse, entryInput(4, zero)))
 	}
 	bad.encoded = nil
-	if bad.Verify(pubs, 9, 2) == nil {
+	if bad.Verify(ring, 9, 2) == nil {
 		t.Fatal("timeout proof for wrong index accepted")
 	}
 }

@@ -17,7 +17,6 @@
 package dirv3
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"sort"
 	"strings"
@@ -140,7 +139,7 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	ring  *sig.Keyring
 	doc   *vote.Document
 
 	votes    map[int]*vote.Document
@@ -167,14 +166,14 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("dirv3: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
+	ring := sig.NewKeyring(cfg.Keys)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
 			cfg:                 &cfg,
 			index:               i,
 			me:                  cfg.Keys[i],
-			pubs:                pubs,
+			ring:                ring,
 			doc:                 cfg.Docs[i],
 			votes:               make(map[int]*vote.Document),
 			voteSigs:            make(map[int]sig.Signature),
@@ -245,7 +244,7 @@ func (a *Authority) acceptVote(ctx *simnet.Context, d *vote.Document, s sig.Sign
 		return
 	}
 	dg := d.Digest()
-	if s.Signer != idx || !sig.Verify(a.pubs, domainVote, dg[:], s) {
+	if s.Signer != idx || !a.ring.Verify(domainVote, dg[:], s) {
 		ctx.Logf("warn", "Rejecting vote with bad signature claimed from authority %d.", idx)
 		return
 	}
@@ -268,7 +267,7 @@ func (a *Authority) acceptSig(ctx *simnet.Context, of int, digest sig.Digest, s 
 	if of < 0 || of >= a.cfg.n() || of == a.index {
 		return
 	}
-	if s.Signer != of || !sig.Verify(a.pubs, domainConsensus, digest[:], s) {
+	if s.Signer != of || !a.ring.Verify(domainConsensus, digest[:], s) {
 		ctx.Logf("warn", "Rejecting consensus signature claimed from authority %d.", of)
 		return
 	}

@@ -115,7 +115,7 @@ func TestCodecRoundTrips(t *testing.T) {
 
 func TestCodecQCSurvivesVerification(t *testing.T) {
 	keys := testkit.Authorities(4, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 	qc := mkQC(keys, 1, 5, "value")
 	m := &MsgLock{View: 5, Digest: qc.Digest, QC: qc}
 	b, err := EncodeMessage(m, nil)
@@ -126,7 +126,7 @@ func TestCodecQCSurvivesVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.(*MsgLock).QC.Verify(pubs, 3) {
+	if !got.(*MsgLock).QC.Verify(ring, 3) {
 		t.Fatal("decoded QC fails verification")
 	}
 }

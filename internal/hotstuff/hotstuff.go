@@ -23,7 +23,6 @@
 package hotstuff
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"time"
 
@@ -74,6 +73,18 @@ type Config struct {
 	Equivocator map[int]bool
 	// AltPropose supplies the equivocator's second value.
 	AltPropose func(index, view int) Value
+
+	ring *sig.Keyring // built on first use, shared by every replica
+}
+
+// Keyring returns the signature memo that every replica of this instance
+// verifies through, building it from Keys on first use. A parent protocol
+// that checks certificates of its own (such as Validate) shares it too.
+func (c *Config) Keyring() *sig.Keyring {
+	if c.ring == nil {
+		c.ring = sig.NewKeyring(c.Keys)
+	}
+	return c.ring
 }
 
 // N returns the replica count.
@@ -157,15 +168,15 @@ func voteDomain(phase int) string {
 	return domainVote2
 }
 
-// Verify checks the certificate against the replica set.
-func (q *QC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
+// Verify checks the certificate against the replica set's keyring.
+func (q *QC) Verify(ring *sig.Keyring, quorum int) bool {
 	if q == nil || len(q.Sigs) < quorum {
 		return false
 	}
 	msg := qcInput(q.Phase, q.View, q.Digest)
 	seen := make(map[int]bool, len(q.Sigs))
 	for _, s := range q.Sigs {
-		if seen[s.Signer] || !sig.Verify(pubs, voteDomain(q.Phase), msg, s) {
+		if seen[s.Signer] || !ring.Verify(voteDomain(q.Phase), msg, s) {
 			return false
 		}
 		seen[s.Signer] = true
@@ -193,14 +204,14 @@ func tcInput(view int) []byte { return []byte(fmt.Sprintf("timeout|%d", view)) }
 
 // Verify checks the certificate (the HighQC is checked separately when
 // used; safety never depends on it — replicas trust only their own locks).
-func (t *TC) Verify(pubs []ed25519.PublicKey, quorum int) bool {
+func (t *TC) Verify(ring *sig.Keyring, quorum int) bool {
 	if t == nil || len(t.Sigs) < quorum {
 		return false
 	}
 	msg := tcInput(t.View)
 	seen := make(map[int]bool, len(t.Sigs))
 	for _, s := range t.Sigs {
-		if seen[s.Signer] || !sig.Verify(pubs, domainTimeout, msg, s) {
+		if seen[s.Signer] || !ring.Verify(domainTimeout, msg, s) {
 			return false
 		}
 		seen[s.Signer] = true

@@ -302,24 +302,24 @@ func TestAgreementUnderRandomPreGSTDelays(t *testing.T) {
 
 func TestQCAndTCVerification(t *testing.T) {
 	keys := testkit.Authorities(4, 1)
-	pubs := sig.PublicSet(keys)
+	ring := sig.NewKeyring(keys)
 	digest := sig.Hash([]byte("v"))
 	qc := &QC{Phase: 1, View: 3, Digest: digest}
 	for i := 0; i < 3; i++ {
 		qc.Sigs = append(qc.Sigs, keys[i].Sign(domainVote1, qcInput(1, 3, digest)))
 	}
-	if !qc.Verify(pubs, 3) {
+	if !qc.Verify(ring, 3) {
 		t.Fatal("valid QC rejected")
 	}
-	if qc.Verify(pubs, 4) {
+	if qc.Verify(ring, 4) {
 		t.Fatal("QC accepted below quorum")
 	}
 	dup := &QC{Phase: 1, View: 3, Digest: digest, Sigs: []sig.Signature{qc.Sigs[0], qc.Sigs[0], qc.Sigs[1]}}
-	if dup.Verify(pubs, 3) {
+	if dup.Verify(ring, 3) {
 		t.Fatal("QC with duplicate signer accepted")
 	}
 	wrongPhase := &QC{Phase: 2, View: 3, Digest: digest, Sigs: qc.Sigs}
-	if wrongPhase.Verify(pubs, 3) {
+	if wrongPhase.Verify(ring, 3) {
 		t.Fatal("QC verified under wrong phase domain")
 	}
 
@@ -327,11 +327,11 @@ func TestQCAndTCVerification(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tc.Sigs = append(tc.Sigs, keys[i].Sign(domainTimeout, tcInput(5)))
 	}
-	if !tc.Verify(pubs, 3) {
+	if !tc.Verify(ring, 3) {
 		t.Fatal("valid TC rejected")
 	}
 	tcBad := &TC{View: 6, Sigs: tc.Sigs}
-	if tcBad.Verify(pubs, 3) {
+	if tcBad.Verify(ring, 3) {
 		t.Fatal("TC accepted for wrong view")
 	}
 }

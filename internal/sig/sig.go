@@ -7,6 +7,13 @@
 // protocol) authenticate votes, proposals and consensus signatures with this
 // package. Keys are derived deterministically from (seed, authority index)
 // so simulations are reproducible.
+//
+// The authority protocols verify through a Keyring, one per protocol
+// instance and shared by all of its authorities, which checks each distinct
+// signature once and remembers the result: every replica re-checks the same
+// certificates, but Ed25519 verification is a pure function, so the
+// simulation's outputs cannot tell the difference. Verify is the uncached
+// primitive, for the chain and client code that checks a signature set once.
 package sig
 
 import (
@@ -112,11 +119,13 @@ const WireSize = SignatureSize + 4
 
 // signingInput binds the domain label to the message.
 func signingInput(domain string, msg []byte) []byte {
-	out := make([]byte, 0, len(domain)+1+len(msg))
-	out = append(out, domain...)
-	out = append(out, 0)
-	out = append(out, msg...)
-	return out
+	return appendSigningInput(make([]byte, 0, len(domain)+1+len(msg)), domain, msg)
+}
+
+func appendSigningInput(dst []byte, domain string, msg []byte) []byte {
+	dst = append(dst, domain...)
+	dst = append(dst, 0)
+	return append(dst, msg...)
 }
 
 // Sign produces a signature over msg under the given domain label.
@@ -144,3 +153,51 @@ func PublicSet(keys []*KeyPair) []ed25519.PublicKey {
 	}
 	return pubs
 }
+
+// Keyring verifies signatures against one authority set and memoizes every
+// result, valid or not. ed25519.Verify is a pure function of the public key,
+// the signed input and the signature, so a remembered result is the one a
+// fresh check would return; the memo only saves repeated work.
+//
+// A Keyring is not safe for concurrent use. Build one per protocol instance
+// and share it among that instance's authorities, which a simulation runs on
+// one goroutine; never share one between concurrently running instances.
+type Keyring struct {
+	pubs  []ed25519.PublicKey
+	memo  map[string]bool
+	key   []byte // reused buffer for the memo key
+	calls int
+}
+
+// NewKeyring builds the verification memo for the given authority keys.
+func NewKeyring(keys []*KeyPair) *Keyring {
+	return &Keyring{pubs: PublicSet(keys), memo: make(map[string]bool)}
+}
+
+// Verify reports what Verify(publics, domain, msg, s) would for the
+// keyring's authority set, checking each distinct (signer, signature,
+// domain, message) once.
+func (k *Keyring) Verify(domain string, msg []byte, s Signature) bool {
+	if s.Signer < 0 || s.Signer >= len(k.pubs) {
+		return false
+	}
+	// The memo key holds the verification's whole input: the signer (which
+	// selects the public key), the signature, then the exact bytes Ed25519
+	// checks. Signer and signature have fixed widths, so two queries share a
+	// key only when Ed25519 would see identical inputs.
+	key := binary.BigEndian.AppendUint32(k.key[:0], uint32(s.Signer))
+	key = append(key, s.Bytes[:]...)
+	key = appendSigningInput(key, domain, msg)
+	k.key = key
+	if ok, seen := k.memo[string(key)]; seen {
+		return ok
+	}
+	k.calls++
+	ok := ed25519.Verify(k.pubs[s.Signer], key[4+SignatureSize:], s.Bytes[:])
+	k.memo[string(key)] = ok
+	return ok
+}
+
+// Ed25519Calls returns how many signatures the keyring actually verified:
+// one per distinct input with an in-range signer.
+func (k *Keyring) Ed25519Calls() int { return k.calls }

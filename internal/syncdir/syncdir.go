@@ -22,7 +22,6 @@
 package syncdir
 
 import (
-	"crypto/ed25519"
 	"time"
 
 	"partialtor/internal/obs"
@@ -161,7 +160,7 @@ type Authority struct {
 	cfg   *Config
 	index int
 	me    *sig.KeyPair
-	pubs  []ed25519.PublicKey
+	ring  *sig.Keyring
 	doc   *vote.Document
 
 	docs    map[int]*vote.Document
@@ -194,14 +193,14 @@ func NewAuthorities(cfg Config) []*Authority {
 	if len(cfg.Docs) != cfg.n() {
 		panic("syncdir: len(Docs) != len(Keys)")
 	}
-	pubs := sig.PublicSet(cfg.Keys)
+	ring := sig.NewKeyring(cfg.Keys)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
 			cfg:            &cfg,
 			index:          i,
 			me:             cfg.Keys[i],
-			pubs:           pubs,
+			ring:           ring,
 			doc:            cfg.Docs[i],
 			docs:           make(map[int]*vote.Document),
 			docSigs:        make(map[int]sig.Signature),
@@ -353,7 +352,7 @@ func (a *Authority) acceptDoc(ctx *simnet.Context, m *msgDoc) {
 		return
 	}
 	dg := m.Doc.Digest()
-	if m.Sig.Signer != idx || !sig.Verify(a.pubs, domainDoc, dg[:], m.Sig) {
+	if m.Sig.Signer != idx || !a.ring.Verify(domainDoc, dg[:], m.Sig) {
 		ctx.Logf("warn", "Rejecting document with bad signature from %d.", idx)
 		return
 	}
@@ -385,7 +384,7 @@ func (a *Authority) acceptBundle(ctx *simnet.Context, m *msgBundle) {
 	}
 	for i, d := range m.Docs {
 		dg := d.Digest()
-		if m.DocSigs[i].Signer != d.AuthorityIndex || !sig.Verify(a.pubs, domainDoc, dg[:], m.DocSigs[i]) {
+		if m.DocSigs[i].Signer != d.AuthorityIndex || !a.ring.Verify(domainDoc, dg[:], m.DocSigs[i]) {
 			ctx.Logf("warn", "Leader bundle contains a bad document signature.")
 			return
 		}
@@ -415,7 +414,7 @@ func (a *Authority) acceptChain(ctx *simnet.Context, m *msgChain) {
 	}
 	seen := make(map[int]bool, k)
 	for _, s := range m.Chain {
-		if seen[s.Signer] || !sig.Verify(a.pubs, domainChain, m.Digest[:], s) {
+		if seen[s.Signer] || !a.ring.Verify(domainChain, m.Digest[:], s) {
 			return
 		}
 		seen[s.Signer] = true
@@ -475,7 +474,7 @@ func (a *Authority) acceptConsSig(ctx *simnet.Context, from int, m *msgConsSig) 
 	if from < 0 || from >= a.cfg.n() || from == a.index {
 		return
 	}
-	if m.Sig.Signer != from || !sig.Verify(a.pubs, domainCons, m.Digest[:], m.Sig) {
+	if m.Sig.Signer != from || !a.ring.Verify(domainCons, m.Digest[:], m.Sig) {
 		return
 	}
 	if _, ok := a.sigs[from]; ok {
