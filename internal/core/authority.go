@@ -60,6 +60,7 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	ring  *sig.Keyring
+	agg   *vote.Aggregator
 	doc   *vote.Document
 	hs    *hotstuff.Replica
 
@@ -129,13 +130,17 @@ func NewAuthorities(cfg Config) []*Authority {
 	}
 	// One keyring for the whole instance: dissemination, the replicas'
 	// certificates and the Validate predicate above all verify through it.
+	// Likewise one aggregator, so authorities that hold the same decided
+	// documents share one consensus.
 	ring = hsCfg.Keyring()
+	agg := new(vote.Aggregator)
 	for i := range auths {
 		auths[i] = &Authority{
 			cfg:          &cfg,
 			index:        i,
 			me:           cfg.Keys[i],
 			ring:         ring,
+			agg:          agg,
 			doc:          cfg.Docs[i],
 			hs:           hotstuff.NewReplica(hsCfg, i),
 			docs:         make(map[int]*vote.Document),
@@ -491,7 +496,7 @@ func (a *Authority) tryAggregate(ctx *simnet.Context) {
 	for _, d := range a.aggDocs {
 		docs = append(docs, d)
 	}
-	cons, err := vote.Aggregate(docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		return

@@ -65,6 +65,9 @@ func TestFullRunThroughWireCodec(t *testing.T) {
 		t.Fatalf("codec-bounced run failed: %v", res.Done)
 	}
 	assertDefinition51(t, auths, cfg, correct)
+	// Every receiver decoded its own copies of the documents; the
+	// aggregator keys on vote digests, so they still make one vote set.
+	assertAggregatedOnce(t, auths, correct)
 	v := auths[0].Decided()
 	if v.Entries[3].Status != EntryBotEquivocation {
 		t.Fatalf("entry 3 status %v after codec bounce", v.Entries[3].Status)

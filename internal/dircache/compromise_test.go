@@ -1,11 +1,13 @@
 package dircache
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"partialtor/internal/attack"
 	"partialtor/internal/chain"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 )
 
@@ -406,6 +408,43 @@ func TestEquivocationBlameAcrossSeeds(t *testing.T) {
 		}
 		if res.Misled != 0 {
 			t.Fatalf("seed %d: %d verifying clients misled", seed, res.Misled)
+		}
+	}
+}
+
+// TestChainSynthesizedOnlyByRun: withDefaults, which Validate also calls,
+// signs no chain; a run that needs chain material and has none synthesizes
+// the same material an explicit SynthChain gives, with the same result.
+func TestChainSynthesizedOnlyByRun(t *testing.T) {
+	verifyOnly := smallSpec()
+	verifyOnly.VerifyClients = true
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"verifying clients", verifyOnly},
+		{"equivocating caches", compromiseSpec(attack.CompromiseEquivocate, 2, true)},
+	} {
+		name, s := tc.name, tc.spec
+		d := s.withDefaults()
+		if d.Chain != nil {
+			t.Fatalf("%s: withDefaults synthesized a chain", name)
+		}
+		got, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Spec.Chain == nil {
+			t.Fatalf("%s: run served no chain", name)
+		}
+		pinned := s
+		pinned.Chain = SynthChain(d.Seed, d.Authorities, sig.Digest{})
+		want, err := Run(pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: run with a nil chain differs from one with the explicit synthetic chain", name)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"partialtor/internal/faults"
 	"partialtor/internal/gossip"
 	"partialtor/internal/obs"
-	"partialtor/internal/sig"
 	"partialtor/internal/topo"
 )
 
@@ -247,9 +246,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.RunLimit == 0 {
 		s.RunLimit = s.FetchWindow + 30*time.Minute
-	}
-	if s.Chain == nil && (s.VerifyClients || s.activeCompromise() != nil) {
-		s.Chain = SynthChain(s.Seed, s.Authorities, sig.Digest{})
 	}
 	if s.Gossip != nil {
 		g := s.Gossip.WithDefaults()

@@ -8,6 +8,7 @@ import (
 	"partialtor/internal/attack"
 	"partialtor/internal/faults"
 	"partialtor/internal/obs"
+	"partialtor/internal/sig"
 	"partialtor/internal/simnet"
 	"partialtor/internal/topo"
 )
@@ -20,6 +21,12 @@ func Run(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	spec = spec.withDefaults()
+	if spec.Chain == nil && (spec.VerifyClients || spec.activeCompromise() != nil) {
+		// Synthesized here rather than in withDefaults, which Validate
+		// also calls: signing a chain is real crypto, and only a run
+		// serves one.
+		spec.Chain = SynthChain(spec.Seed, spec.Authorities, sig.Digest{})
+	}
 
 	net := simnet.New(simnet.Config{Seed: spec.Seed, Overhead: 64, Topology: spec.Topology})
 	tracer := obs.WithLayer(spec.Tracer, "dist")

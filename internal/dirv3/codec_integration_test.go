@@ -52,6 +52,9 @@ func TestFullRunThroughWireCodec(t *testing.T) {
 	if !res.Success {
 		t.Fatalf("codec-bounced run failed: votes=%v sigs=%v", res.VoteCounts, res.SigCounts)
 	}
+	// Every receiver decoded its own copies of the votes; the aggregator
+	// keys on vote digests, so they still make one vote set.
+	assertAggregatedOnce(t, auths)
 	st := tn.Network.Stats()
 	if st.KindCount["dirv3/vote-req"] == 0 || st.KindCount["dirv3/vote-resp"] == 0 {
 		t.Fatal("fetch path not exercised; weaken the throttle")

@@ -140,6 +140,7 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	ring  *sig.Keyring
+	agg   *vote.Aggregator
 	doc   *vote.Document
 
 	votes    map[int]*vote.Document
@@ -167,6 +168,7 @@ func NewAuthorities(cfg Config) []*Authority {
 		panic("dirv3: len(Docs) != len(Keys)")
 	}
 	ring := sig.NewKeyring(cfg.Keys)
+	agg := new(vote.Aggregator)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -174,6 +176,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:               i,
 			me:                  cfg.Keys[i],
 			ring:                ring,
+			agg:                 agg,
 			doc:                 cfg.Docs[i],
 			votes:               make(map[int]*vote.Document),
 			voteSigs:            make(map[int]sig.Signature),
@@ -352,7 +355,7 @@ func (a *Authority) computeConsensus(ctx *simnet.Context) {
 	for _, d := range a.votes {
 		docs = append(docs, d)
 	}
-	cons, err := vote.Aggregate(docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Consensus aggregation failed: %v", err)
 		return

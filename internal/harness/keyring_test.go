@@ -35,14 +35,17 @@ func TestICPSVerifiesEachSignatureOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentICPSRunsShareInputs runs two ICPS cells at once from the
-// same cached harness.Inputs, as parallel sweeps do. Each run builds its
-// own keyring, so under -race nothing the runs share is written.
+// TestConcurrentICPSRunsShareInputs runs two cells of each protocol (the
+// current protocol, the synchronous protocol and ICPS) all at once from the
+// same cached harness.Inputs, as parallel sweeps do. Each run builds its own
+// keyring and its own vote aggregator, so under -race nothing the runs share
+// is written.
 func TestConcurrentICPSRunsShareInputs(t *testing.T) {
-	s := Scenario{Protocol: ICPS, Relays: 60, EntryPadding: 0, Seed: 5}
-	results := make([]*RunResult, 2)
+	protocols := []Protocol{Current, Synchronous, ICPS}
+	results := make([]*RunResult, 2*len(protocols))
 	var wg sync.WaitGroup
 	for g := range results {
+		s := Scenario{Protocol: protocols[g/2], Relays: 60, EntryPadding: 0, Seed: 5}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -58,10 +61,13 @@ func TestConcurrentICPSRunsShareInputs(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	a, b := results[0], results[1]
-	if !a.Success || a.Latency != b.Latency || a.Consensus().Digest() != b.Consensus().Digest() {
-		t.Fatalf("concurrent runs differ: success %v/%v, latency %v/%v", a.Success, b.Success, a.Latency, b.Latency)
+	for i, p := range protocols {
+		a, b := results[2*i], results[2*i+1]
+		if !a.Success || a.Latency != b.Latency || a.Consensus().Digest() != b.Consensus().Digest() {
+			t.Fatalf("%v: concurrent runs differ: success %v/%v, latency %v/%v", p, a.Success, b.Success, a.Latency, b.Latency)
+		}
 	}
+	a, b := results[4], results[5]
 	if ca, cb := a.Detail.(*core.Result).Ed25519Calls, b.Detail.(*core.Result).Ed25519Calls; ca != cb {
 		t.Fatalf("concurrent runs verified %d and %d signatures", ca, cb)
 	}

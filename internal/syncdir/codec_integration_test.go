@@ -44,6 +44,9 @@ func TestFullRunThroughWireCodec(t *testing.T) {
 	if !res.Success || res.SuccessCount != 9 {
 		t.Fatalf("codec-bounced run failed: %d of 9 succeeded", res.SuccessCount)
 	}
+	// Every receiver decoded its own copy of the leader's bundle; the
+	// aggregator keys on vote digests, so they still make one vote set.
+	assertAggregatedOnce(t, auths)
 	st := tn.Network.Stats()
 	for _, kind := range []string{"syncdir/doc", "syncdir/bundle", "syncdir/chain", "syncdir/sig"} {
 		if st.KindCount[kind] == 0 {

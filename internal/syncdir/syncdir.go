@@ -161,6 +161,7 @@ type Authority struct {
 	index int
 	me    *sig.KeyPair
 	ring  *sig.Keyring
+	agg   *vote.Aggregator
 	doc   *vote.Document
 
 	docs    map[int]*vote.Document
@@ -194,6 +195,7 @@ func NewAuthorities(cfg Config) []*Authority {
 		panic("syncdir: len(Docs) != len(Keys)")
 	}
 	ring := sig.NewKeyring(cfg.Keys)
+	agg := new(vote.Aggregator)
 	out := make([]*Authority, cfg.n())
 	for i := range out {
 		out[i] = &Authority{
@@ -201,6 +203,7 @@ func NewAuthorities(cfg Config) []*Authority {
 			index:          i,
 			me:             cfg.Keys[i],
 			ring:           ring,
+			agg:            agg,
 			doc:            cfg.Docs[i],
 			docs:           make(map[int]*vote.Document),
 			docSigs:        make(map[int]sig.Signature),
@@ -454,7 +457,7 @@ func (a *Authority) decide(ctx *simnet.Context) {
 		a.agreed = false
 		return
 	}
-	cons, err := vote.Aggregate(a.leaderBundle.Docs, a.cfg.n())
+	cons, err := a.agg.Aggregate(a.leaderBundle.Docs, a.cfg.n())
 	if err != nil {
 		ctx.Logf("warn", "Aggregation failed: %v", err)
 		a.agreed = false

@@ -44,9 +44,22 @@ type Consensus struct {
 var allFlags = relay.AllFlags()
 
 // Aggregate combines status votes into a consensus document following the
-// paper's Figure 2. votes must be non-empty and from distinct authorities;
-// totalAuthorities is the size of the authority set (9 for Tor).
+// paper's Figure 2. votes must be non-empty, from distinct authorities and
+// of one epoch; totalAuthorities is the size of the authority set (9 for
+// Tor). Aggregate computes the document afresh on every call; the protocols
+// aggregate through an Aggregator, which computes each distinct vote set
+// once.
 func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
+	ordered, err := orderVotes(votes)
+	if err != nil {
+		return nil, err
+	}
+	return aggregate(ordered, totalAuthorities), nil
+}
+
+// orderVotes checks a vote set and returns a copy of it sorted by authority
+// index, the deterministic processing order whatever the input order.
+func orderVotes(votes []*Document) ([]*Document, error) {
 	if len(votes) == 0 {
 		return nil, fmt.Errorf("vote: aggregate of zero votes")
 	}
@@ -59,14 +72,24 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 			return nil, fmt.Errorf("vote: duplicate vote from authority %d", v.AuthorityIndex)
 		}
 		seen[v.AuthorityIndex] = true
+		// votes[0] passed the nil check first. One consensus covers one
+		// epoch: votes for another valid-after cannot be stamped with it.
+		if v.ValidAfter != votes[0].ValidAfter {
+			return nil, fmt.Errorf("vote: vote from authority %d is for valid-after %d, vote from authority %d for %d",
+				v.AuthorityIndex, v.ValidAfter, votes[0].AuthorityIndex, votes[0].ValidAfter)
+		}
 	}
-	// Deterministic processing order regardless of input order.
 	ordered := make([]*Document, len(votes))
 	copy(ordered, votes)
 	sort.Slice(ordered, func(i, j int) bool {
 		return ordered[i].AuthorityIndex < ordered[j].AuthorityIndex
 	})
+	return ordered, nil
+}
 
+// aggregate computes the consensus of a checked vote set sorted by
+// authority index.
+func aggregate(ordered []*Document, totalAuthorities int) *Consensus {
 	n := len(ordered)
 	threshold := n / 2 // "at least ⌊n/2⌋ votes" (Figure 2)
 	if threshold < 1 {
@@ -140,7 +163,7 @@ func Aggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 		}
 		c.Relays = append(c.Relays, scratch.aggregateRelay(ids[s], entries[start[s]:start[s+1]]))
 	}
-	return c, nil
+	return c
 }
 
 // aggScratch is space reused across the relays of one Aggregate call.

@@ -68,8 +68,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// randomVotes builds n votes from distinct random authorities over a small
-// identity pool. Field values come from small pools so that counts tie, and
+// randomVotes builds n votes for one epoch from distinct random authorities
+// over a small identity pool. Field values come from small pools so that counts tie, and
 // identities are listed by only some votes so that some fall below the
 // inclusion threshold. Occasionally a vote lists a relay twice.
 func randomVotes(rng *rand.Rand, n int) []*Document {
@@ -106,7 +106,7 @@ func randomVotes(rng *rand.Rand, n int) []*Document {
 			}
 		}
 		votes[i] = mkVote(a, rs...)
-		votes[i].ValidAfter = uint64(10 + i)
+		votes[i].ValidAfter = uint64(10 + n)
 	}
 	return votes
 }

@@ -90,6 +90,9 @@ func refAggregate(votes []*Document, totalAuthorities int) (*Consensus, error) {
 			return nil, fmt.Errorf("vote: duplicate vote from authority %d", v.AuthorityIndex)
 		}
 		seen[v.AuthorityIndex] = true
+		if v.ValidAfter != votes[0].ValidAfter {
+			return nil, fmt.Errorf("vote: votes for valid-after %d and %d", v.ValidAfter, votes[0].ValidAfter)
+		}
 	}
 	ordered := make([]*Document, len(votes))
 	copy(ordered, votes)

@@ -8,7 +8,16 @@
 // when it appears in at least ⌊n/2⌋ votes; its name comes from the vote with
 // the largest authority ID; flags follow the popular vote with ties unset;
 // the largest version/protocol and the lexicographically larger exit policy
-// win ties; and bandwidth is the median of the measuring votes.
+// win ties; and bandwidth is the median of the measuring votes. Every vote
+// in a set must be for the same epoch.
+//
+// The authority protocols aggregate through an Aggregator, one per protocol
+// instance and shared by all of its authorities, which computes each
+// distinct vote set once and hands every authority holding that set the same
+// document: honest authorities that agree on their votes compute the same
+// consensus, and aggregation is a pure function of the votes, so the
+// simulation's outputs cannot tell the difference. Aggregate is the uncached
+// primitive.
 package vote
 
 import (

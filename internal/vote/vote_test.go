@@ -353,16 +353,41 @@ func TestAggregateBandwidthWithinRange(t *testing.T) {
 	}
 }
 
+// aggregateErrorCases are vote sets Aggregate must reject, each with a
+// fragment of the error it must give.
+func aggregateErrorCases() []struct {
+	name  string
+	votes []*Document
+	want  string
+} {
+	a, b := mkVote(0, mkRelay(1, nil)), mkVote(1, mkRelay(1, nil))
+	later := mkVote(2, mkRelay(1, nil))
+	later.ValidAfter = 2
+	return []struct {
+		name  string
+		votes []*Document
+		want  string
+	}{
+		{"zero votes", nil, "zero votes"},
+		{"nil vote", []*Document{nil}, "nil vote"},
+		{"nil after valid", []*Document{a, nil}, "nil vote"},
+		{"duplicate authority", []*Document{mkVote(1, mkRelay(1, nil)), mkVote(1, mkRelay(2, nil))}, "duplicate vote from authority 1"},
+		{"mixed epochs", []*Document{a, b, later}, "authority 2 is for valid-after 2, vote from authority 0 for 1"},
+		{"mixed epochs, first differs", []*Document{later, a}, "authority 0 is for valid-after 1, vote from authority 2 for 2"},
+	}
+}
+
 func TestAggregateErrors(t *testing.T) {
-	if _, err := Aggregate(nil, 9); err == nil {
-		t.Fatal("zero votes accepted")
-	}
-	dup := []*Document{mkVote(1, mkRelay(1, nil)), mkVote(1, mkRelay(2, nil))}
-	if _, err := Aggregate(dup, 9); err == nil {
-		t.Fatal("duplicate authority accepted")
-	}
-	if _, err := Aggregate([]*Document{nil}, 9); err == nil {
-		t.Fatal("nil vote accepted")
+	for _, tc := range aggregateErrorCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Aggregate(tc.votes, 9)
+			if err == nil {
+				t.Fatalf("accepted, consensus of %d votes", c.NumVotes)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want it to mention %q", err, tc.want)
+			}
+		})
 	}
 }
 
